@@ -238,24 +238,14 @@ impl System {
     }
 
     /// Runs an arbitrary instruction source on a single core —
-    /// the trace-replay entry point. `memory` is the workload's final
-    /// image, the value source for pointer-prefetch callbacks.
+    /// the trace-replay entry point — streaming metric events into
+    /// `sink`. `memory` is the workload's final image, the value source
+    /// for pointer-prefetch callbacks.
     ///
     /// The source is statically dispatched: a streaming on-disk replay
     /// compiles to the same devirtualized per-retire edge as the
     /// in-memory trace path. Returns the drained source so callers can
     /// inspect it (e.g. a replay source's deferred decode error).
-    pub fn run_source<I: InstSource, P: Prefetcher + ?Sized>(
-        &self,
-        source: I,
-        memory: &SparseMemory,
-        prefetcher: &mut P,
-    ) -> (RunResult, I) {
-        self.run_source_with_sink(source, memory, prefetcher, &mut NullSink)
-    }
-
-    /// Like [`run_source`](Self::run_source), streaming metric events
-    /// into `sink`.
     pub fn run_source_with_sink<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
         &self,
         source: I,
@@ -277,7 +267,7 @@ impl System {
     }
 
     /// Runs one workload per core (sharing L3 and DRAM), one prefetcher
-    /// per core.
+    /// per core, discarding metric events.
     ///
     /// Generic over the prefetcher type: pass `&mut [&mut dyn Prefetcher]`
     /// for heterogeneous boxed designs, or a slice of a concrete type
@@ -293,22 +283,11 @@ impl System {
         workloads: &[Workload],
         prefetchers: &mut [&mut P],
     ) -> MultiRunResult {
-        self.run_multi_with_sink(workloads, prefetchers, &mut NullSink)
-    }
-
-    /// Like [`run_multi`](Self::run_multi), streaming metric events from
-    /// all cores into `sink`.
-    pub fn run_multi_with_sink<P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
-        &self,
-        workloads: &[Workload],
-        prefetchers: &mut [&mut P],
-        sink: &mut S,
-    ) -> MultiRunResult {
         let sources: Vec<(TraceCursor<'_>, &SparseMemory)> = workloads
             .iter()
             .map(|w| (TraceCursor::new(w.trace.as_slice()), &w.memory))
             .collect();
-        let (result, _) = self.run_inner(sources, prefetchers, sink);
+        let (result, _) = self.run_inner(sources, prefetchers, &mut NullSink);
         result
     }
 
@@ -824,8 +803,12 @@ mod tests {
         let mut tpc = Tpc::full();
         let baseline = sys.run(&w, &mut tpc);
         let mut tpc = Tpc::full();
-        let (via_source, _) =
-            sys.run_source(TraceCursor::new(w.trace.as_slice()), &w.memory, &mut tpc);
+        let (via_source, _) = sys.run_source_with_sink(
+            TraceCursor::new(w.trace.as_slice()),
+            &w.memory,
+            &mut tpc,
+            &mut NullSink,
+        );
         assert_eq!(baseline.cycles, via_source.cycles);
         assert_eq!(baseline.instructions, via_source.instructions);
         assert_eq!(baseline.stalls, via_source.stalls);

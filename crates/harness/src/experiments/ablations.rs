@@ -18,13 +18,12 @@ use crate::RunPlan;
 /// low-probability (C1) prefetches first instead of dropping prefetches
 /// indiscriminately is worth ~6% on average in a multicore environment.
 pub fn drop_policy(plan: &RunPlan) -> Report {
-    let sys1 = single_core();
     let mixes = mixes(plan.mix_count, plan.seed);
     let ratios: Vec<f64> = crate::sweep::map(plan.jobs, &mixes, |mix| {
         let bases: Vec<_> = mix
             .members
             .iter()
-            .map(|m| BaselineRun::capture(m, plan, &sys1))
+            .map(|m| BaselineRun::capture(m, plan))
             .collect();
         let members: Vec<Workload> = bases.iter().map(|b| b.workload.clone()).collect();
         let alone: Vec<f64> = bases.iter().map(|b| b.result.ipc()).collect();
@@ -77,7 +76,7 @@ fn geomean_speedup_with(
     let sys = single_core();
     let v = crate::sweep::map(plan.jobs, apps, |name| {
         let spec = dol_workloads::by_name(name).expect("known workload");
-        let base = BaselineRun::capture(&spec, plan, &sys);
+        let base = BaselineRun::capture(&spec, plan);
         let mut p = build();
         let r = crate::runner::run_with(&base, p.as_mut(), &sys);
         base.cycles() as f64 / r.cycles as f64
@@ -169,7 +168,7 @@ pub fn c1_density(plan: &RunPlan) -> Report {
 pub fn mpc(plan: &RunPlan) -> Report {
     let sys = single_core();
     let spec = dol_workloads::by_name("strided_calls").expect("kernel exists");
-    let base = BaselineRun::capture(&spec, plan, &sys);
+    let base = BaselineRun::capture(&spec, plan);
     let with_mpc = AppRun::run(&base, "TPC", &sys).speedup(&base);
     let plain = AppRun::run(&base, "TPC-plainPC", &sys).speedup(&base);
     let mut t = TextTable::new(vec!["config".into(), "strided_calls speedup".into()]);
@@ -227,7 +226,7 @@ pub fn multi_extra(plan: &RunPlan) -> Report {
     let sys = single_core();
     let specs = plan.cap_suite(dol_workloads::spec21());
     let per_app: Vec<(f64, f64, f64)> = crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan, &sys);
+        let base = BaselineRun::capture(spec, plan);
         let tpc = {
             let mut p = Tpc::full();
             crate::runner::run_with(&base, &mut p, &sys).cycles

@@ -49,7 +49,7 @@ pub fn run(plan: &RunPlan) -> Report {
     type PerExtra = (EffectiveAccuracy, f64, EffectiveAccuracy, f64);
     let specs = plan.cap_suite(dol_workloads::spec21());
     let per_app: Vec<Option<(u64, Vec<PerExtra>)>> = crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan, &sys);
+        let base = BaselineRun::capture(spec, plan);
         // TPC's own attempt set defines the uncovered region.
         let tpc_run = AppRun::run(&base, "TPC", &sys);
         let tpc_pfp = tpc_run.metrics.prefetched_lines_all();

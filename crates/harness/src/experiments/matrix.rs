@@ -70,7 +70,7 @@ pub fn scan_spec21(plan: &RunPlan, configs: &[&str]) -> Vec<AppSummary> {
     let sys = single_core();
     let specs = plan.cap_suite(dol_workloads::spec21());
     crate::sweep::map(plan.jobs, &specs, |spec| {
-        let base = BaselineRun::capture(spec, plan, &sys);
+        let base = BaselineRun::capture(spec, plan);
         let base_l1 = base.result.stats.cores[0].l1_misses;
         let base_l2 = base.result.stats.cores[0].l2_misses;
         let configs = configs

@@ -28,7 +28,7 @@ use crate::plan::RunPlan;
 use crate::prefetchers;
 
 /// `(workload name, insts, seed)` — everything a capture depends on.
-/// All callers use the canonical single-core system of
+/// Every baseline runs on the canonical single-core system of
 /// [`single_core`], so the system is not part of the key.
 type CaptureKey = (String, u64, u64);
 
@@ -133,10 +133,10 @@ pub struct BaselineRun {
 
 impl BaselineRun {
     /// Captures `spec` under `plan` and runs the no-prefetch baseline on
-    /// `sys` (the canonical single-core system — see the module-level
-    /// memoization notes). Hits in the process-wide capture cache return
-    /// a shared, bit-identical artifact without re-simulating.
-    pub fn capture(spec: &Spec, plan: &RunPlan, sys: &System) -> Arc<Self> {
+    /// the canonical single-core system ([`single_core`]). Hits in the
+    /// process-wide capture cache return a shared, bit-identical
+    /// artifact without re-simulating.
+    pub fn capture(spec: &Spec, plan: &RunPlan) -> Arc<Self> {
         let key: CaptureKey = (spec.name.to_string(), plan.insts, plan.seed);
         let budget = cache_budget_insts();
         if budget > 0 {
@@ -145,7 +145,7 @@ impl BaselineRun {
                 return Arc::clone(hit);
             }
         }
-        let fresh = Arc::new(Self::capture_uncached(spec, plan, sys));
+        let fresh = Arc::new(Self::capture_uncached(spec, plan));
         if budget > 0 {
             let mut cache = CAPTURE_CACHE.lock().expect("capture cache poisoned");
             // A racing worker may have inserted the same key; both values
@@ -163,7 +163,7 @@ impl BaselineRun {
         fresh
     }
 
-    fn capture_uncached(spec: &Spec, plan: &RunPlan, sys: &System) -> Self {
+    fn capture_uncached(spec: &Spec, plan: &RunPlan) -> Self {
         let workload = timed(Phase::Capture, || match &plan.trace_dir {
             // Replay path: decode the recorded trace instead of running
             // the functional VM. The decoded workload is bit-identical
@@ -182,7 +182,7 @@ impl BaselineRun {
         let mut none = dol_core::NoPrefetcher;
         let mut sm = StreamingMetrics::new();
         let result = timed(Phase::Simulate, || {
-            sys.run_with_sink(&workload, &mut none, &mut sm)
+            single_core().run_with_sink(&workload, &mut none, &mut sm)
         });
         let [fp_l1, fp_l2, _] = timed(Phase::Metrics, || sm.into_footprints());
         let classifier = classify_cached(&workload.trace);
@@ -338,9 +338,9 @@ pub fn single_core() -> System {
 
 /// Captures the whole spec21 suite with baselines (the common prologue
 /// of most figures), sharded across `plan.jobs` workers.
-pub fn capture_spec21(plan: &RunPlan, sys: &System) -> Vec<Arc<BaselineRun>> {
+pub fn capture_spec21(plan: &RunPlan) -> Vec<Arc<BaselineRun>> {
     let specs = plan.cap_suite(dol_workloads::spec21());
-    crate::sweep::map(plan.jobs, &specs, |s| BaselineRun::capture(s, plan, sys))
+    crate::sweep::map(plan.jobs, &specs, |s| BaselineRun::capture(s, plan))
 }
 
 /// Convenience: run a set of prefetchers over one prepared app.
@@ -361,9 +361,8 @@ mod tests {
     #[test]
     fn baseline_capture_produces_artifacts() {
         let plan = RunPlan::quick();
-        let sys = single_core();
         let spec = dol_workloads::by_name("stream_sum").unwrap();
-        let base = BaselineRun::capture(&spec, &plan, &sys);
+        let base = BaselineRun::capture(&spec, &plan);
         assert!(base.cycles() > 0);
         assert!(base.fp_l1.unique_lines() > 0);
         assert!(base.mpki > 0.0);
@@ -375,7 +374,7 @@ mod tests {
         let plan = RunPlan::quick();
         let sys = single_core();
         let spec = dol_workloads::by_name("stream_sum").unwrap();
-        let base = BaselineRun::capture(&spec, &plan, &sys);
+        let base = BaselineRun::capture(&spec, &plan);
         let run = AppRun::run(&base, "T2", &sys);
         assert!(run.speedup(&base) > 1.05, "got {}", run.speedup(&base));
     }

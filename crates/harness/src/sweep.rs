@@ -28,9 +28,8 @@ pub fn effective_jobs(jobs: usize) -> usize {
 }
 
 /// The `DOL_JOBS` environment override, parsed and clamped — the single
-/// place that env var is interpreted. `RunPlan::from_env`, the sweep
-/// pool, and the `dol serve` scheduler all resolve through here, so a
-/// worker count can never mean different things in different layers.
+/// place that env var is interpreted, so a worker count can never mean
+/// different things in different layers.
 /// Returns `None` when the variable is unset or unparsable (callers keep
 /// their own default); `Some(0)` still means auto-detect via
 /// [`effective_jobs`].
@@ -39,13 +38,6 @@ pub fn env_jobs() -> Option<usize> {
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .map(|n| n.min(256))
-}
-
-/// Resolves a requested worker count against the `DOL_JOBS` override and
-/// auto-detection: an explicit `Some(n)` wins, then `DOL_JOBS`, then
-/// auto-detect (`0`). The result is always `>= 1`.
-pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    effective_jobs(requested.or_else(env_jobs).unwrap_or(0))
 }
 
 /// Applies `f` to every item, sharding across `jobs` worker threads
@@ -135,14 +127,6 @@ mod tests {
     fn auto_jobs_resolves_to_at_least_one() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(5), 5);
-    }
-
-    #[test]
-    fn resolve_jobs_prefers_the_explicit_request() {
-        // An explicit request always wins over auto-detect.
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(None) >= 1);
-        assert!(resolve_jobs(Some(0)) >= 1, "0 still auto-detects");
     }
 
     #[test]

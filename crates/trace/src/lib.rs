@@ -78,7 +78,7 @@ pub mod telemetry;
 mod varint;
 mod writer;
 
-pub use crc::crc32;
+use crc::crc32;
 pub use readahead::ReadAhead;
 pub use reader::{decode_workload, ReplaySource, TraceReader};
 pub use writer::{encode_workload, TraceWriter};

@@ -220,8 +220,8 @@ impl<R: Read> TraceReader<R> {
     /// Fills `block` with up to `block.capacity()` instructions in one
     /// batched pass over the chunk slice — the frame bookkeeping runs
     /// once per refill instead of once per instruction, which is what
-    /// keeps decode MB/s off the critical path of replay-heavy serve
-    /// workloads. An empty block afterwards means end of stream.
+    /// keeps decode MB/s off the critical path of streaming replay. An
+    /// empty block afterwards means end of stream.
     ///
     /// On a decode error the block keeps the instructions decoded before
     /// the failure (the same prefix the one-at-a-time path would have

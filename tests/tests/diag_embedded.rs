@@ -18,7 +18,7 @@ fn embedded_gap() {
         dol_workloads::scientific(),
     ] {
         for spec in suite {
-            let base = BaselineRun::capture(&spec, &plan, &sys);
+            let base = BaselineRun::capture(&spec, &plan);
             let fdp = AppRun::run(&base, "FDP", &sys).speedup(&base);
             let tpc = AppRun::run(&base, "TPC", &sys).speedup(&base);
             println!("{:20} FDP {:.3} TPC {:.3}", base.name, fdp, tpc);
