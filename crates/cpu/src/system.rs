@@ -149,44 +149,29 @@ struct CoreRt<'a, S: InstSource> {
 impl<'a, S: InstSource> CoreRt<'a, S> {
     fn new(mut source: S, memory: &'a SparseMemory, gshare_bits: u32) -> Self {
         let next = source.next_inst();
-        let scratch = crate::arena::acquire_core_scratch();
         CoreRt {
             source,
             next,
             memory,
             regs: [0; dol_isa::Reg::COUNT],
-            rob: scratch.rob,
-            lsq: scratch.lsq,
+            rob: VecDeque::new(),
+            lsq: VecDeque::new(),
             dispatch: 0,
             dispatched: 0,
             last_retire: 0,
-            ras: scratch.ras,
+            ras: Vec::new(),
             bp: BranchPredictor::new(gshare_bits),
             mispredicts: 0,
             insts: 0,
             stalls: [0; 3],
-            pending: scratch.pending,
-            retries: scratch.retries,
-            retry_scratch: scratch.retry_scratch,
+            pending: BinaryHeap::new(),
+            retries: Vec::new(),
+            retry_scratch: Vec::new(),
         }
     }
 
     fn done(&self) -> bool {
         self.next.is_none()
-    }
-
-    /// Returns the per-run collections to the thread-local arena and
-    /// yields the drained source.
-    fn into_source(self) -> S {
-        crate::arena::release_core_scratch(crate::arena::CoreScratch {
-            rob: self.rob,
-            lsq: self.lsq,
-            ras: self.ras,
-            pending: self.pending,
-            retries: self.retries,
-            retry_scratch: self.retry_scratch,
-        });
-        self.source
     }
 }
 
@@ -354,12 +339,12 @@ impl System {
             sources.len() <= self.cfg.hierarchy.cores as usize,
             "more workloads than configured cores"
         );
-        let mut mem = crate::arena::acquire_memory_system(self.cfg.hierarchy);
+        let mut mem = MemorySystem::new(self.cfg.hierarchy);
         let mut cores: Vec<CoreRt<'a, I>> = sources
             .into_iter()
             .map(|(s, m)| CoreRt::new(s, m, self.cfg.core.gshare_bits))
             .collect();
-        let mut out_buf = crate::arena::acquire_out_buf();
+        let mut out_buf = Vec::with_capacity(32);
 
         if cores.len() == 1 {
             // Single core: block-oriented retire (see the method docs).
@@ -408,15 +393,13 @@ impl System {
         let stalls: Vec<[u64; 3]> = cores.iter().map(|c| c.stalls).collect();
         let stats = mem.stats();
         crate::telemetry::record_instructions(per_core.iter().map(|&(_, i)| i).sum());
-        crate::arena::release_out_buf(out_buf);
-        crate::arena::release_memory_system(mem);
         let result = MultiRunResult {
             cores: per_core,
             stalls,
             mispredicts,
             stats,
         };
-        (result, cores.into_iter().map(|c| c.into_source()).collect())
+        (result, cores.into_iter().map(|c| c.source).collect())
     }
 
     #[inline]

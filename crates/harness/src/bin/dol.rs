@@ -72,9 +72,12 @@ fn parse(args: &[String]) -> Args {
                 i += 2;
             }
             "--insts" | "-n" => {
+                // Zero instructions has no cycles to compare: every
+                // speedup would print as NaN.
                 out.insts = args
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage());
                 i += 2;
             }

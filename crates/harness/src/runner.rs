@@ -307,11 +307,10 @@ impl AppRun {
 }
 
 /// Empties the process-wide capture, per-config run, classifier, and
-/// pre-decoded micro-op caches, plus the calling thread's arena pools,
-/// so the next run re-simulates everything from scratch. Used by
-/// `run_all --bench-repeat`, where a repeat pass served from the caches
-/// (or measuring against pre-warmed arenas) would measure bookkeeping
-/// instead of simulation throughput.
+/// pre-decoded micro-op caches, so the next run re-simulates everything
+/// from scratch. Used by `run_all --bench-repeat`, where a repeat pass
+/// served from the caches would measure bookkeeping instead of
+/// simulation throughput.
 pub fn clear_run_caches() {
     let mut cap = CAPTURE_CACHE.lock().expect("capture cache poisoned");
     cap.held_insts = 0;
@@ -326,9 +325,6 @@ pub fn clear_run_caches() {
         .expect("classifier cache poisoned")
         .clear();
     dol_isa::clear_uop_cache();
-    // Arena pools are thread-local; sweep workers are ephemeral, so the
-    // pools that persist across passes are the calling thread's.
-    dol_cpu::clear_arena_pools();
 }
 
 /// The standard single-core system of the paper's Table I.

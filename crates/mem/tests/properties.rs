@@ -133,51 +133,4 @@ proptest! {
             }
         }
     }
-
-    /// Reset equivalence (the arena-pool contract): a [`MemorySystem`]
-    /// dirtied by an arbitrary demand/prefetch mix and then `reset()`
-    /// must be indistinguishable from a freshly built one — identical
-    /// outcomes, stats, and event streams on any subsequent run.
-    #[test]
-    fn reset_matches_fresh_build(
-        warm in proptest::collection::vec((0u64..512, 0u8..4), 1..200),
-        replayed in proptest::collection::vec((0u64..512, 0u8..4), 1..200),
-    ) {
-        let drive = |m: &mut MemorySystem, ops: &[(u64, u8)]| {
-            let mut sink = dol_mem::CollectSink::new();
-            let mut t = 0u64;
-            let mut log = Vec::new();
-            for (line, kind) in ops {
-                let addr = line * 64;
-                match kind {
-                    0 | 1 => {
-                        let out = m.demand_access(0, addr, *kind == 1, t, 0x400, &mut sink);
-                        log.push((out.l1_hit, out.l2_hit, out.latency));
-                        t += out.latency + 1;
-                    }
-                    _ => {
-                        let dest = if *kind == 2 {
-                            dol_mem::CacheLevel::L1
-                        } else {
-                            dol_mem::CacheLevel::L2
-                        };
-                        let p = m.prefetch(0, addr, dest, Origin(3), 180, t, &mut sink);
-                        log.push((p.accepted, false, p.completes_at));
-                        t += 2;
-                    }
-                }
-            }
-            (log, m.stats(), sink.into_events())
-        };
-
-        let mut pooled = MemorySystem::new(HierarchyConfig::tiny(1));
-        drive(&mut pooled, &warm);
-        pooled.reset();
-        let mut fresh = MemorySystem::new(HierarchyConfig::tiny(1));
-        let a = drive(&mut pooled, &replayed);
-        let b = drive(&mut fresh, &replayed);
-        prop_assert_eq!(a.0, b.0, "per-access outcomes");
-        prop_assert_eq!(a.1, b.1, "aggregate stats");
-        prop_assert_eq!(a.2, b.2, "event streams");
-    }
 }
