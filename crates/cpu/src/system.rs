@@ -119,8 +119,11 @@ struct CoreRt<'a, S: InstSource> {
     /// path and the on-disk replay path monomorphize to direct calls
     /// (no `dyn` dispatch on the per-retire edge).
     source: S,
-    /// One-instruction lookahead; `None` means the stream is drained.
-    next: Option<RetiredInst>,
+    /// The decoded block being retired; refilled as soon as it drains,
+    /// so an empty block means the stream is drained.
+    block: InstBlock,
+    /// Read position of the next instruction in `block`.
+    pos: usize,
     memory: &'a SparseMemory,
     regs: [u64; dol_isa::Reg::COUNT],
     rob: VecDeque<u64>,
@@ -148,10 +151,12 @@ struct CoreRt<'a, S: InstSource> {
 
 impl<'a, S: InstSource> CoreRt<'a, S> {
     fn new(mut source: S, memory: &'a SparseMemory, gshare_bits: u32) -> Self {
-        let next = source.next_inst();
+        let mut block = InstBlock::new();
+        source.next_block(&mut block);
         CoreRt {
             source,
-            next,
+            block,
+            pos: 0,
             memory,
             regs: [0; dol_isa::Reg::COUNT],
             rob: VecDeque::new(),
@@ -171,7 +176,21 @@ impl<'a, S: InstSource> CoreRt<'a, S> {
     }
 
     fn done(&self) -> bool {
-        self.next.is_none()
+        self.block.is_empty()
+    }
+
+    /// Takes the next instruction of a core that is not [`done`](Self::done),
+    /// refilling the block once it drains.
+    #[inline]
+    fn take_inst(&mut self) -> RetiredInst {
+        let inst = self.block.as_slice()[self.pos];
+        self.pos += 1;
+        if self.pos == self.block.len() {
+            self.source.next_block(&mut self.block);
+            self.pos = 0;
+        }
+        self.insts += 1;
+        inst
     }
 }
 
@@ -296,43 +315,24 @@ impl System {
         result
     }
 
-    /// The shared scheduling loop. Core arbitration is deterministic
-    /// round-robin by timestamp: each iteration steps the non-finished
-    /// core with the smallest dispatch cycle, ties broken by lowest core
-    /// index (`min_by_key` keeps the first minimum). Shared-hierarchy
-    /// state therefore updates in a reproducible order independent of
-    /// caller threading — the byte-identity guarantee the CI determinism
-    /// gate checks across `--jobs` settings.
+    /// The scheduling loop for every core count. Core arbitration is
+    /// deterministic round-robin by timestamp: each iteration retires the
+    /// next instruction of the non-finished core with the smallest
+    /// dispatch cycle, ties broken by lowest core index (`min_by_key`
+    /// keeps the first minimum). Shared-hierarchy state therefore
+    /// updates in a reproducible order independent of caller threading —
+    /// the byte-identity guarantee the CI determinism gate checks across
+    /// `--jobs` settings.
     ///
-    /// A single-core run has no arbitration to do, so it takes the
-    /// block-oriented fast path instead: the source decodes into a
-    /// 64-instruction [`InstBlock`] (a bulk copy for in-memory traces)
-    /// and the core retires the whole block in a tight loop, hoisting
-    /// the per-instruction source call, `Option` lookahead juggling, and
-    /// telemetry bucketing out of the retire edge. Both paths retire
-    /// through the same [`retire_one`](Self::retire_one), so they
-    /// perform identical operations in identical order — blocks are a
-    /// throughput vehicle, never a semantic boundary (the
-    /// block-boundary equivalence proptests pin this).
-    fn run_inner<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
-        &self,
-        sources: Vec<(I, &SparseMemory)>,
-        prefetchers: &mut [&mut P],
-        sink: &mut S,
-    ) -> (MultiRunResult, Vec<I>) {
-        self.run_inner_blocked(sources, prefetchers, sink, dol_isa::BLOCK_INSTS)
-    }
-
-    /// [`run_inner`](Self::run_inner) with an explicit single-core block
-    /// capacity — exposed (hidden) so block-boundary tests can pin that
-    /// sizes 1, 7, and 64 all reproduce the stepwise schedule exactly.
-    #[doc(hidden)]
-    pub fn run_inner_blocked<'a, I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
+    /// Each core pulls its stream through 64-instruction [`InstBlock`]s
+    /// (a bulk copy for in-memory traces, a batched decode for replay).
+    /// Arbitration reads only `dispatch` and whether a stream has
+    /// instructions left, so block boundaries never change the schedule.
+    fn run_inner<'a, I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
         &self,
         sources: Vec<(I, &'a SparseMemory)>,
         prefetchers: &mut [&mut P],
         sink: &mut S,
-        block_cap: usize,
     ) -> (MultiRunResult, Vec<I>) {
         assert_eq!(sources.len(), prefetchers.len(), "one prefetcher per core");
         assert!(
@@ -346,46 +346,17 @@ impl System {
             .collect();
         let mut out_buf = Vec::with_capacity(32);
 
-        if cores.len() == 1 {
-            // Single core: block-oriented retire (see the method docs).
-            let c = &mut cores[0];
-            let p = &mut *prefetchers[0];
-            let mut block = InstBlock::with_capacity(block_cap);
-            if let Some(first) = c.next.take() {
-                // The constructor's one-instruction lookahead retires
-                // first; everything after streams through blocks.
-                c.insts += 1;
-                self.retire_one(0, c, first, p, &mut mem, &mut out_buf, sink);
-                loop {
-                    c.source.next_block(&mut block);
-                    if block.is_empty() {
-                        break;
-                    }
-                    c.insts += block.len() as u64;
-                    for &inst in block.as_slice() {
-                        self.retire_one(0, c, inst, p, &mut mem, &mut out_buf, sink);
-                    }
-                }
-            }
-        } else {
-            // Multi-core: interleave cores by current dispatch cycle.
-            loop {
-                let next = cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| !c.done())
-                    .min_by_key(|(_, c)| c.dispatch)
-                    .map(|(i, _)| i);
-                let Some(i) = next else { break };
-                self.step_inst(
-                    i,
-                    &mut cores[i],
-                    &mut *prefetchers[i],
-                    &mut mem,
-                    &mut out_buf,
-                    sink,
-                );
-            }
+        loop {
+            let next = cores
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.done())
+                .min_by_key(|(_, c)| c.dispatch)
+                .map(|(i, _)| i);
+            let Some(i) = next else { break };
+            let (c, p) = (&mut cores[i], &mut *prefetchers[i]);
+            let inst = c.take_inst();
+            self.retire_one(i, c, inst, p, &mut mem, &mut out_buf, sink);
         }
 
         let per_core: Vec<(u64, u64)> = cores.iter().map(|c| (c.last_retire, c.insts)).collect();
@@ -526,30 +497,10 @@ impl System {
         c.retry_scratch = due;
     }
 
-    /// Advances one instruction through the lookahead (multi-core path;
-    /// the single-core block path pulls whole [`InstBlock`]s instead and
-    /// calls [`retire_one`](Self::retire_one) directly).
-    fn step_inst<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
-        &self,
-        core_idx: usize,
-        c: &mut CoreRt<'_, I>,
-        prefetcher: &mut P,
-        mem: &mut MemorySystem,
-        out: &mut Vec<PrefetchRequest>,
-        sink: &mut S,
-    ) {
-        let inst = c.next.take().expect("step_inst on a drained core");
-        c.next = c.source.next_inst();
-        c.insts += 1;
-        self.retire_one(core_idx, c, inst, prefetcher, mem, out, sink);
-    }
-
     /// Retires one instruction through the timing model: value-callback
     /// delivery and retry drain at the current dispatch cycle, then
     /// width/ROB/LSQ accounting, dependence-limited issue, the
-    /// per-kind completion model, and prefetcher training/issue. Both
-    /// the stepwise and block schedulers funnel through here, so block
-    /// boundaries cannot change simulated behavior.
+    /// per-kind completion model, and prefetcher training/issue.
     #[allow(clippy::too_many_arguments)] // internal helper threading the run context
     fn retire_one<I: InstSource, P: Prefetcher + ?Sized, S: EventSink + ?Sized>(
         &self,

@@ -7,13 +7,16 @@
 //! builds (the simulator is ~20× slower there); `cargo test --release`
 //! and the CI smoke step run them.
 
+use std::fs::File;
 use std::path::PathBuf;
 use std::process::Command;
 
-use dol_core::NoPrefetcher;
+use dol_core::{NoPrefetcher, Tpc};
 use dol_cpu::Workload;
 use dol_harness::runner::single_core;
 use dol_harness::{traces, RunPlan};
+use dol_mem::CollectSink;
+use dol_trace::{ReplaySource, TraceReader};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
@@ -22,7 +25,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Loading a recorded trace gives the same workload and the same timing
-/// result as capturing live.
+/// result as capturing live, and so does streaming the file through
+/// [`ReplaySource`] into the timing model.
 #[test]
 fn replayed_workload_matches_live_capture() {
     let dir = tmp_dir("equivalence");
@@ -54,6 +58,26 @@ fn replayed_workload_matches_live_capture() {
             a.stats.dram.total_traffic_lines(),
             b.stats.dram.total_traffic_lines()
         );
+
+        let mut live_sink = CollectSink::new();
+        let a = sys.run_with_sink(&live, &mut Tpc::full(), &mut live_sink);
+        let file = File::open(traces::trace_path(&dir, name)).unwrap();
+        let mut reader = TraceReader::new(file).unwrap();
+        let memory = reader.read_memory().unwrap();
+        let mut replay_sink = CollectSink::new();
+        let (b, source) = sys.run_source_with_sink(
+            ReplaySource::new(reader),
+            &memory,
+            &mut Tpc::full(),
+            &mut replay_sink,
+        );
+        assert!(source.error().is_none(), "{name}: {:?}", source.error());
+        assert_eq!(a.cycles, b.cycles, "{name}: cycles differ under streaming");
+        assert_eq!(a.instructions, b.instructions, "{name}: instructions");
+        assert_eq!(a.stalls, b.stalls, "{name}: stall buckets");
+        assert_eq!(a.mispredicts, b.mispredicts, "{name}: mispredicts");
+        assert_eq!(a.stats, b.stats, "{name}: memory stats");
+        assert_eq!(live_sink.events, replay_sink.events, "{name}: event stream");
     }
 }
 

@@ -130,15 +130,12 @@ pub const BLOCK_INSTS: usize = 64;
 ///
 /// A block is a plain inline array — filling one from an in-memory
 /// trace is a `memcpy`, and draining one is a branch-light slice walk
-/// with no per-instruction `Option` juggling. The *capacity* may be
-/// lowered below [`BLOCK_INSTS`] (tests exercise block-boundary
-/// semantics at sizes 1 and 7); the simulator always runs at full
-/// capacity.
+/// with no per-instruction `Option` juggling. Sources fill it to
+/// [`BLOCK_INSTS`] instructions unless the stream ends first.
 #[derive(Debug, Clone)]
 pub struct InstBlock {
     insts: [RetiredInst; BLOCK_INSTS],
     len: usize,
-    cap: usize,
 }
 
 /// Filler for unoccupied block slots (never observed by consumers,
@@ -151,27 +148,13 @@ const FILLER: RetiredInst = RetiredInst {
 };
 
 impl InstBlock {
-    /// An empty block with full ([`BLOCK_INSTS`]) capacity.
+    /// An empty block.
     #[inline]
     pub fn new() -> Self {
-        Self::with_capacity(BLOCK_INSTS)
-    }
-
-    /// An empty block filled at most `cap` instructions at a time
-    /// (clamped to `1..=BLOCK_INSTS`) — for block-boundary tests.
-    #[inline]
-    pub fn with_capacity(cap: usize) -> Self {
         InstBlock {
             insts: [FILLER; BLOCK_INSTS],
             len: 0,
-            cap: cap.clamp(1, BLOCK_INSTS),
         }
-    }
-
-    /// Fill limit of this block.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Instructions currently held.
@@ -186,7 +169,7 @@ impl InstBlock {
         self.len == 0
     }
 
-    /// Empties the block (capacity unchanged).
+    /// Empties the block.
     #[inline]
     pub fn clear(&mut self) {
         self.len = 0;
@@ -196,19 +179,19 @@ impl InstBlock {
     ///
     /// # Panics
     ///
-    /// Panics if the block is already at capacity.
+    /// Panics if the block is already full.
     #[inline]
     pub fn push(&mut self, inst: RetiredInst) {
-        assert!(self.len < self.cap, "InstBlock overflow");
+        assert!(self.len < BLOCK_INSTS, "InstBlock overflow");
         self.insts[self.len] = inst;
         self.len += 1;
     }
 
-    /// Replaces the contents with a copy of `src` (at most `capacity()`
-    /// instructions) and returns how many were taken.
+    /// Replaces the contents with a copy of `src` (at most
+    /// [`BLOCK_INSTS`] instructions) and returns how many were taken.
     #[inline]
     pub fn refill_from(&mut self, src: &[RetiredInst]) -> usize {
-        let n = src.len().min(self.cap);
+        let n = src.len().min(BLOCK_INSTS);
         self.insts[..n].copy_from_slice(&src[..n]);
         self.len = n;
         n
@@ -244,7 +227,7 @@ pub trait InstSource {
     /// The next retired instruction, or `None` at end of stream.
     fn next_inst(&mut self) -> Option<RetiredInst>;
 
-    /// Refills `block` with the next up-to-`block.capacity()`
+    /// Refills `block` with the next up-to-[`BLOCK_INSTS`]
     /// instructions; an empty block afterwards means end of stream.
     ///
     /// The default pulls through [`next_inst`](Self::next_inst) one at a
@@ -255,7 +238,7 @@ pub trait InstSource {
     /// vehicle, never a semantic boundary.
     fn next_block(&mut self, block: &mut InstBlock) {
         block.clear();
-        while block.len() < block.capacity() {
+        while block.len() < BLOCK_INSTS {
             match self.next_inst() {
                 Some(inst) => block.push(inst),
                 None => break,
@@ -451,15 +434,18 @@ mod tests {
 
     #[test]
     fn block_refill_copies_and_respects_capacity() {
-        let t: Trace = (0..10u64).map(|i| load(0x100 + 4 * i, 0x8000)).collect();
+        let n = 2 * BLOCK_INSTS + 22;
+        let t: Trace = (0..n as u64).map(|i| load(0x100 + 4 * i, 0x8000)).collect();
         let mut cur = TraceCursor::new(t.as_slice());
-        let mut block = InstBlock::with_capacity(7);
+        let mut block = InstBlock::new();
+        for start in [0, BLOCK_INSTS] {
+            cur.next_block(&mut block);
+            assert_eq!(block.len(), BLOCK_INSTS);
+            assert_eq!(block.as_slice(), &t.as_slice()[start..start + BLOCK_INSTS]);
+        }
         cur.next_block(&mut block);
-        assert_eq!(block.len(), 7);
-        assert_eq!(block.as_slice(), &t.as_slice()[..7]);
-        cur.next_block(&mut block);
-        assert_eq!(block.len(), 3, "tail block is short");
-        assert_eq!(block.as_slice(), &t.as_slice()[7..]);
+        assert_eq!(block.len(), 22, "tail block is short");
+        assert_eq!(block.as_slice(), &t.as_slice()[2 * BLOCK_INSTS..]);
         cur.next_block(&mut block);
         assert!(block.is_empty(), "drained source yields an empty block");
     }
@@ -476,30 +462,20 @@ mod tests {
         let t: Trace = (0..150u64)
             .map(|i| load(0x100 + 4 * i, 0x8000 + 64 * i))
             .collect();
-        for cap in [1, 7, BLOCK_INSTS] {
-            let mut a = TraceCursor::new(t.as_slice());
-            let mut b = OneAtATime(TraceCursor::new(t.as_slice()));
-            let mut ba = InstBlock::with_capacity(cap);
-            let mut bb = InstBlock::with_capacity(cap);
-            let mut streamed: Vec<RetiredInst> = Vec::new();
-            loop {
-                a.next_block(&mut ba);
-                b.next_block(&mut bb);
-                assert_eq!(ba.as_slice(), bb.as_slice(), "cap {cap}");
-                if ba.is_empty() {
-                    break;
-                }
-                streamed.extend_from_slice(ba.as_slice());
+        let mut a = TraceCursor::new(t.as_slice());
+        let mut b = OneAtATime(TraceCursor::new(t.as_slice()));
+        let (mut ba, mut bb) = (InstBlock::new(), InstBlock::new());
+        let mut streamed: Vec<RetiredInst> = Vec::new();
+        loop {
+            a.next_block(&mut ba);
+            b.next_block(&mut bb);
+            assert_eq!(ba.as_slice(), bb.as_slice());
+            if ba.is_empty() {
+                break;
             }
-            assert_eq!(streamed, t.as_slice(), "cap {cap}");
+            streamed.extend_from_slice(ba.as_slice());
         }
-    }
-
-    #[test]
-    fn block_capacity_is_clamped() {
-        assert_eq!(InstBlock::with_capacity(0).capacity(), 1);
-        assert_eq!(InstBlock::with_capacity(10_000).capacity(), BLOCK_INSTS);
-        assert_eq!(InstBlock::default().capacity(), BLOCK_INSTS);
+        assert_eq!(streamed, t.as_slice());
     }
 
     #[test]

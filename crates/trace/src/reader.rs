@@ -3,7 +3,7 @@
 
 use std::io::Read;
 
-use dol_isa::{InstBlock, InstSource, RetiredInst, SparseMemory, Trace};
+use dol_isa::{InstBlock, InstSource, RetiredInst, SparseMemory, Trace, BLOCK_INSTS};
 
 use crate::codec::{decode_inst, DeltaState};
 use crate::varint::read_u64;
@@ -217,7 +217,7 @@ impl<R: Read> TraceReader<R> {
         self.decode_one().map(Some)
     }
 
-    /// Fills `block` with up to `block.capacity()` instructions in one
+    /// Fills `block` with up to [`BLOCK_INSTS`] instructions in one
     /// batched pass over the chunk slice — the frame bookkeeping runs
     /// once per refill instead of once per instruction, which is what
     /// keeps decode MB/s off the critical path of streaming replay. An
@@ -229,11 +229,11 @@ impl<R: Read> TraceReader<R> {
     /// afterwards.
     pub fn next_block(&mut self, block: &mut InstBlock) -> Result<(), TraceError> {
         block.clear();
-        while block.len() < block.capacity() {
+        while block.len() < BLOCK_INSTS {
             if !self.refill()? {
                 return Ok(());
             }
-            let n = (self.chunk_insts_left as usize).min(block.capacity() - block.len());
+            let n = (self.chunk_insts_left as usize).min(BLOCK_INSTS - block.len());
             for _ in 0..n {
                 block.push(self.decode_one()?);
             }

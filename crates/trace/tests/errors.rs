@@ -1,8 +1,11 @@
 //! Error-path coverage: truncation, corruption, and version skew all
 //! surface as the right typed error — never a panic or an infinite loop.
 
-use dol_isa::{InstKind, Reg, RetiredInst, SparseMemory};
-use dol_trace::{decode_workload, encode_workload, TraceError, TraceHeader, MAGIC, VERSION};
+use dol_isa::{InstBlock, InstKind, InstSource, Reg, RetiredInst, SparseMemory, BLOCK_INSTS};
+use dol_trace::{
+    decode_workload, encode_workload, ReplaySource, TraceError, TraceHeader, TraceReader, MAGIC,
+    VERSION,
+};
 
 /// A small valid trace with a memory image and a few hundred
 /// instructions (spans header, memory, instruction, and end frames).
@@ -34,6 +37,88 @@ fn sample_trace() -> Vec<u8> {
     let mut bytes = Vec::new();
     encode_workload(&mut bytes, &header, &memory, &insts).expect("valid trace encodes");
     bytes
+}
+
+/// A trace of 40,000 scattered loads and ALU ops with an empty memory
+/// image: several 64 KiB instruction chunks.
+fn multi_chunk_trace() -> Vec<u8> {
+    let insts: Vec<RetiredInst> = (0..40_000u64)
+        .map(|i| RetiredInst {
+            pc: 0x4000 + (i % 97) * 4,
+            kind: if i % 2 == 0 {
+                InstKind::Load {
+                    addr: i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & !7,
+                    value: i,
+                }
+            } else {
+                InstKind::Alu { latency: 1 }
+            },
+            dst: Some(Reg::R1),
+            srcs: [Some(Reg::R2), None],
+        })
+        .collect();
+    let header = TraceHeader {
+        name: "multi".into(),
+        seed: 1,
+        insts: insts.len() as u64,
+    };
+    let mut bytes = Vec::new();
+    encode_workload(&mut bytes, &header, &SparseMemory::new(), &insts).expect("trace encodes");
+    bytes
+}
+
+/// Opens `bytes` as a replay source positioned at the instruction stream.
+fn replay(bytes: &[u8]) -> ReplaySource<&[u8]> {
+    let mut reader = TraceReader::new(bytes).expect("header survives the cut");
+    reader.read_memory().expect("memory image survives the cut");
+    ReplaySource::new(reader)
+}
+
+#[test]
+fn truncated_replay_delivers_the_same_prefix_batched_or_not() {
+    let bytes = multi_chunk_trace();
+    let cuts = [bytes.len() / 2, bytes.len() * 3 / 4, bytes.len() - 1];
+    for cut in cuts {
+        let mut one_at_a_time = replay(&bytes[..cut]);
+        let mut expect = Vec::new();
+        while let Some(inst) = one_at_a_time.next_inst() {
+            expect.push(inst);
+        }
+        assert!(
+            matches!(one_at_a_time.error(), Some(TraceError::Truncated(_))),
+            "cut at {cut}: next_inst error {:?}",
+            one_at_a_time.error()
+        );
+        assert!(!expect.is_empty(), "cut at {cut}: nothing decoded first");
+        if cut == cuts[0] {
+            // Chunks do not end on block boundaries, so the block that
+            // hits this cut carries a partial prefix: the case the
+            // contract is about.
+            assert_ne!(expect.len() % BLOCK_INSTS, 0, "prefix fills whole blocks");
+        }
+
+        let mut batched = replay(&bytes[..cut]);
+        let mut block = InstBlock::new();
+        let mut got = Vec::new();
+        loop {
+            batched.next_block(&mut block);
+            if block.is_empty() {
+                break;
+            }
+            got.extend_from_slice(block.as_slice());
+        }
+        assert_eq!(got, expect, "cut at {cut}: batched prefix differs");
+        assert!(
+            matches!(batched.error(), Some(TraceError::Truncated(_))),
+            "cut at {cut}: next_block error {:?}",
+            batched.error()
+        );
+        batched.next_block(&mut block);
+        assert!(
+            block.is_empty(),
+            "cut at {cut}: stream resumed after an error"
+        );
+    }
 }
 
 #[test]

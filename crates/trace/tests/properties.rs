@@ -1,7 +1,7 @@
 //! Property-based tests for the `dol-trace-v1` codec plus full
 //! record→replay round-trips over every embedded workload.
 
-use dol_isa::{InstKind, InstSource, Reg, RetiredInst, SparseMemory};
+use dol_isa::{InstBlock, InstKind, InstSource, Reg, RetiredInst, SparseMemory};
 use dol_trace::{decode_workload, encode_workload, ReplaySource, TraceHeader, TraceReader};
 use proptest::prelude::*;
 
@@ -94,21 +94,45 @@ proptest! {
     }
 
     /// The streaming reader yields the same stream as the one-shot
-    /// decoder, chunk boundaries and all.
+    /// decoder, chunk boundaries and all, whether drained one
+    /// instruction at a time or through batched `next_block` decode.
+    /// Tiling the sampled instructions up to 64 times makes the larger
+    /// streams span several 64 KiB instruction chunks, so blocks
+    /// straddle chunk boundaries.
     #[test]
-    fn replay_source_equals_bulk_decode(insts in proptest::collection::vec(inst_strategy(), 1..300)) {
+    fn replay_source_equals_bulk_decode(
+        sample in proptest::collection::vec(inst_strategy(), 1..300),
+        tiles in 1usize..64,
+    ) {
+        let insts: Vec<RetiredInst> = sample.iter().copied().cycle().take(sample.len() * tiles).collect();
         let header = TraceHeader { name: "prop".into(), seed: 7, insts: insts.len() as u64 };
         let mut bytes = Vec::new();
         encode_workload(&mut bytes, &header, &SparseMemory::new(), &insts).unwrap();
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        reader.read_memory().unwrap();
-        let mut source = ReplaySource::new(reader);
+        let open = || {
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            reader.read_memory().unwrap();
+            ReplaySource::new(reader)
+        };
+        let mut source = open();
         let mut streamed = Vec::new();
         while let Some(inst) = source.next_inst() {
             streamed.push(inst);
         }
         prop_assert!(source.error().is_none(), "replay error: {:?}", source.error());
-        prop_assert_eq!(streamed, insts);
+        prop_assert_eq!(&streamed, &insts);
+
+        let mut source = open();
+        let mut block = InstBlock::new();
+        let mut batched = Vec::new();
+        loop {
+            source.next_block(&mut block);
+            if block.is_empty() {
+                break;
+            }
+            batched.extend_from_slice(block.as_slice());
+        }
+        prop_assert!(source.error().is_none(), "batched replay error: {:?}", source.error());
+        prop_assert_eq!(batched, insts);
     }
 }
 
